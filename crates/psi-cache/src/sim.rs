@@ -77,6 +77,12 @@ pub struct Cache {
     mem_free_at_ns: u64,
     /// The cache's own access clock, advanced by each access's cost.
     now_ns: u64,
+    /// `log2(block_words)`: an address's block number is `raw >> block_shift`.
+    block_shift: u32,
+    /// `sets - 1`: a block's set is `block & set_mask`.
+    set_mask: u32,
+    /// `log2(sets)`: a block's tag is `block >> set_shift`.
+    set_shift: u32,
 }
 
 impl Cache {
@@ -87,8 +93,11 @@ impl Cache {
     /// Panics if the configuration geometry is invalid
     /// (see [`CacheConfig::assert_valid`]).
     pub fn new(config: CacheConfig) -> Cache {
+        // Validation guarantees power-of-two block and set counts, so
+        // the per-access divisions reduce to shifts and a mask.
         config.assert_valid();
         let lines = vec![Line::default(); config.blocks() as usize];
+        let sets = config.sets();
         Cache {
             config,
             lines,
@@ -96,6 +105,9 @@ impl Cache {
             stamp: 0,
             mem_free_at_ns: 0,
             now_ns: 0,
+            block_shift: config.block_words.trailing_zeros(),
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
         }
     }
 
@@ -126,60 +138,44 @@ impl Cache {
     /// stalled the processor beyond the 200 ns cycle.
     pub fn access(&mut self, cmd: CacheCommand, addr: Address) -> AccessOutcome {
         self.stamp += 1;
-        let block_addr = addr.raw() / self.config.block_words;
-        let sets = self.config.sets();
-        let set = (block_addr % sets) as usize;
-        let tag = block_addr / sets;
+        let block_addr = addr.raw() >> self.block_shift;
+        let set = (block_addr & self.set_mask) as usize;
+        let tag = block_addr >> self.set_shift;
         let ways = self.config.ways as usize;
         let base = set * ways;
 
-        let mut hit_way = None;
-        for w in 0..ways {
-            let line = &self.lines[base + w];
-            if line.valid && line.tag == tag {
-                hit_way = Some(w);
-                break;
-            }
-        }
+        let hit_way = self.lines[base..base + ways]
+            .iter()
+            .position(|line| line.valid && line.tag == tag);
 
         let hit = hit_way.is_some();
+        let write = cmd.is_write();
         let mut stall = 0u64;
 
-        match (cmd, self.config.policy) {
-            (CacheCommand::Read, _) => {
-                if let Some(w) = hit_way {
-                    self.touch(base + w);
-                } else {
-                    stall += self.fetch_block(base, ways, tag, false);
-                }
+        if write && self.config.policy == WritePolicy::StoreThrough {
+            // Write-through with one-deep write buffer and no write
+            // allocation: update the block on a hit, and send the
+            // word to memory in either case.
+            if let Some(w) = hit_way {
+                self.touch(base + w);
             }
-            (CacheCommand::Write, WritePolicy::StoreIn)
-            | (CacheCommand::WriteStack, WritePolicy::StoreIn) => {
-                let no_fetch = cmd == CacheCommand::WriteStack && self.config.write_stack_no_fetch;
-                if let Some(w) = hit_way {
-                    self.touch(base + w);
-                    self.lines[base + w].dirty = true;
-                } else if no_fetch {
-                    // Allocate without read-in: the block is claimed and
-                    // dirtied but memory is never consulted, so the push
-                    // completes within the cycle.
-                    stall += self.allocate_block(base, ways, tag, true, false, 0);
-                } else {
-                    stall += self.fetch_block(base, ways, tag, true);
-                }
-            }
-            (CacheCommand::Write, WritePolicy::StoreThrough)
-            | (CacheCommand::WriteStack, WritePolicy::StoreThrough) => {
-                // Write-through with one-deep write buffer and no write
-                // allocation: update the block on a hit, and send the
-                // word to memory in either case.
-                if let Some(w) = hit_way {
-                    self.touch(base + w);
-                }
-                stall += self.wait_for_memory(stall);
-                self.occupy_memory_after(stall);
-                self.stats.through_writes += 1;
-            }
+            stall += self.wait_for_memory(stall);
+            self.occupy_memory_after(stall);
+            self.stats.through_writes += 1;
+        } else if let Some(w) = hit_way {
+            // A read hit, or a store-in write hit that dirties the
+            // block. Branch-free on the command: hits are the common
+            // case and the command stream is irregular.
+            let line = &mut self.lines[base + w];
+            line.last_used = self.stamp;
+            line.dirty |= write;
+        } else if cmd == CacheCommand::WriteStack && self.config.write_stack_no_fetch {
+            // Allocate without read-in: the block is claimed and
+            // dirtied but memory is never consulted, so the push
+            // completes within the cycle.
+            stall += self.allocate_block(base, ways, tag, true, false, 0);
+        } else {
+            stall += self.fetch_block(base, ways, tag, write);
         }
 
         self.record(cmd, addr, hit);
@@ -292,26 +288,13 @@ impl Cache {
 
     fn record(&mut self, cmd: CacheCommand, addr: Address, hit: bool) {
         let c = self.stats.area_mut(addr.area());
-        match cmd {
-            CacheCommand::Read => {
-                c.reads += 1;
-                if hit {
-                    c.read_hits += 1;
-                }
-            }
-            CacheCommand::Write => {
-                c.writes += 1;
-                if hit {
-                    c.write_hits += 1;
-                }
-            }
-            CacheCommand::WriteStack => {
-                c.write_stacks += 1;
-                if hit {
-                    c.write_stack_hits += 1;
-                }
-            }
-        }
+        let (issued, hits) = match cmd {
+            CacheCommand::Read => (&mut c.reads, &mut c.read_hits),
+            CacheCommand::Write => (&mut c.writes, &mut c.write_hits),
+            CacheCommand::WriteStack => (&mut c.write_stacks, &mut c.write_stack_hits),
+        };
+        *issued += 1;
+        *hits += u64::from(hit);
     }
 }
 
@@ -327,6 +310,186 @@ mod tests {
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 4-word blocks = 32 words.
         Cache::new(CacheConfig::psi_with_capacity(32))
+    }
+
+    /// Division-indexed reference model of the cache kernel: the
+    /// occupancy and replacement rules of [`Cache`], written the
+    /// straightforward way (block, set and tag by `/` and `%`, one
+    /// match arm per command and policy) so the shift/mask fast path
+    /// can be checked against it.
+    struct Reference {
+        config: CacheConfig,
+        lines: Vec<Line>,
+        stats: CacheStats,
+        stamp: u64,
+        mem_free_at_ns: u64,
+        now_ns: u64,
+    }
+
+    impl Reference {
+        fn new(config: CacheConfig) -> Reference {
+            Reference {
+                config,
+                lines: vec![Line::default(); config.blocks() as usize],
+                stats: CacheStats::new(),
+                stamp: 0,
+                mem_free_at_ns: 0,
+                now_ns: 0,
+            }
+        }
+
+        fn memory_op(&mut self, at: u64) -> u64 {
+            let wait = self.mem_free_at_ns.saturating_sub(self.now_ns + at);
+            self.mem_free_at_ns = self.now_ns + at + wait + self.config.memory_busy_ns;
+            wait
+        }
+
+        fn allocate(&mut self, base: usize, tag: u32, dirty: bool, at: u64) -> u64 {
+            let ways = self.config.ways as usize;
+            let set = &self.lines[base..base + ways];
+            let victim = set
+                .iter()
+                .position(|l| !l.valid)
+                .unwrap_or_else(|| (0..ways).min_by_key(|&w| set[w].last_used).unwrap());
+            let old = self.lines[base + victim];
+            let mut stall = 0;
+            if old.valid && old.dirty {
+                stall = self.memory_op(at);
+                self.stats.writebacks += 1;
+            }
+            self.lines[base + victim] = Line {
+                valid: true,
+                dirty,
+                tag,
+                last_used: self.stamp,
+            };
+            stall
+        }
+
+        fn fetch(&mut self, base: usize, tag: u32, dirty: bool) -> u64 {
+            let stall = self.memory_op(0) + self.config.miss_extra_ns();
+            self.mem_free_at_ns = self.now_ns + stall + self.config.memory_busy_ns;
+            self.stats.block_fetches += 1;
+            stall + self.allocate(base, tag, dirty, stall)
+        }
+
+        fn access(&mut self, cmd: CacheCommand, addr: Address) -> AccessOutcome {
+            self.stamp += 1;
+            let block = addr.raw() / self.config.block_words;
+            let sets = self.config.blocks() / self.config.ways;
+            let base = (block % sets) as usize * self.config.ways as usize;
+            let tag = block / sets;
+            let hit_way = (0..self.config.ways as usize)
+                .find(|&w| self.lines[base + w].valid && self.lines[base + w].tag == tag);
+            if let Some(w) = hit_way {
+                self.lines[base + w].last_used = self.stamp;
+            }
+            let stall = match (cmd, self.config.policy) {
+                (CacheCommand::Read, _) => match hit_way {
+                    Some(_) => 0,
+                    None => self.fetch(base, tag, false),
+                },
+                (_, WritePolicy::StoreIn) => match hit_way {
+                    Some(w) => {
+                        self.lines[base + w].dirty = true;
+                        0
+                    }
+                    None if cmd == CacheCommand::WriteStack && self.config.write_stack_no_fetch => {
+                        self.allocate(base, tag, true, 0)
+                    }
+                    None => self.fetch(base, tag, true),
+                },
+                (_, WritePolicy::StoreThrough) => {
+                    self.stats.through_writes += 1;
+                    self.memory_op(0)
+                }
+            };
+            let c = self.stats.area_mut(addr.area());
+            let hit = hit_way.is_some();
+            match cmd {
+                CacheCommand::Read => {
+                    c.reads += 1;
+                    c.read_hits += u64::from(hit);
+                }
+                CacheCommand::Write => {
+                    c.writes += 1;
+                    c.write_hits += u64::from(hit);
+                }
+                CacheCommand::WriteStack => {
+                    c.write_stacks += 1;
+                    c.write_stack_hits += u64::from(hit);
+                }
+            }
+            self.now_ns += self.config.hit_ns + stall;
+            AccessOutcome {
+                hit,
+                stall_ns: stall,
+            }
+        }
+    }
+
+    /// The shift/mask kernel agrees with the division-indexed
+    /// reference on every access outcome and on the final statistics,
+    /// over seeded random streams (stack-like runs, random jumps,
+    /// every area and command, random computation gaps) for every
+    /// Figure 1 capacity, 1 and 2 ways, both write policies and the
+    /// write-stack command with and without block read-in.
+    #[test]
+    fn kernel_matches_division_indexed_reference() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            // xorshift64*
+            rng ^= rng >> 12;
+            rng ^= rng << 25;
+            rng ^= rng >> 27;
+            rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound
+        };
+        let commands = [
+            CacheCommand::Read,
+            CacheCommand::Write,
+            CacheCommand::WriteStack,
+        ];
+        let mut configs = 0;
+        for capacity in (0..11).map(|i| 8u32 << i) {
+            for ways in [1, 2] {
+                for policy in [WritePolicy::StoreIn, WritePolicy::StoreThrough] {
+                    for write_stack_no_fetch in [true, false] {
+                        let config = CacheConfig {
+                            capacity_words: capacity,
+                            ways,
+                            policy,
+                            write_stack_no_fetch,
+                            ..CacheConfig::psi()
+                        };
+                        let mut fast = Cache::new(config);
+                        let mut reference = Reference::new(config);
+                        let mut offset = 0u32;
+                        for i in 0..4000 {
+                            offset = match next(8) {
+                                0 => next(1 << 15) as u32,
+                                1 => offset.saturating_sub(next(8) as u32),
+                                _ => offset + next(3) as u32,
+                            };
+                            let area = Area::ALL[next(Area::ALL.len() as u64) as usize];
+                            let process = ProcessId::new(next(2) as u8);
+                            let addr = Address::new(process, area, offset);
+                            let cmd = commands[next(3) as usize];
+                            let gap = next(4) * 200;
+                            fast.advance(gap);
+                            reference.now_ns += gap;
+                            assert_eq!(
+                                fast.access(cmd, addr),
+                                reference.access(cmd, addr),
+                                "{config:?}: access {i} ({cmd:?} {addr:?})"
+                            );
+                        }
+                        assert_eq!(fast.stats(), &reference.stats, "{config:?}");
+                        configs += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(configs, 11 * 2 * 2 * 2);
     }
 
     #[test]

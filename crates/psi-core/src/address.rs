@@ -2,9 +2,10 @@
 //!
 //! The PSI allocates its four stacks and the heap to *independent
 //! logical address spaces* called areas (§2.1). A logical address is
-//! therefore (process, area, offset); the memory unit translates it to
-//! a physical location through a hardware translation table
-//! (modelled in `psi-mem`).
+//! therefore (process, area, offset). The hardware table that
+//! translated it to a physical location is not modelled: the cache is
+//! indexed by logical address and the paper reports no translation
+//! statistics.
 
 use std::fmt;
 

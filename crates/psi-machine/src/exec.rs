@@ -340,22 +340,22 @@ impl Machine {
 
     pub(crate) fn micro(&mut self, m: InterpModule, op: BranchOp, data: bool) {
         self.tally.step(m, op, data);
-        self.bus.tick(self.config.cycle_ns);
+        self.bus.tick();
     }
 
     pub(crate) fn micro_seq(&mut self, m: InterpModule, data: bool) {
         self.tally.step_seq(m, data);
-        self.bus.tick(self.config.cycle_ns);
+        self.bus.tick();
     }
 
     pub(crate) fn micro_cond(&mut self, m: InterpModule, data: bool) {
         self.tally.step_cond(m, data);
-        self.bus.tick(self.config.cycle_ns);
+        self.bus.tick();
     }
 
     pub(crate) fn micro_goto(&mut self, m: InterpModule, data: bool) {
         self.tally.step_goto(m, data);
-        self.bus.tick(self.config.cycle_ns);
+        self.bus.tick();
     }
 
     /// Applies one pre-recorded charge packet (compiled lane): the
@@ -2053,6 +2053,7 @@ impl Machine {
         };
         let before = self.image.heap().len();
         std::sync::Arc::make_mut(&mut self.image).assert_clause(&head, &body, front)?;
+        self.database_modified = true;
         self.sync_code()?;
         let added = self.image.heap().len() - before;
         for _ in 0..added {
@@ -2177,6 +2178,7 @@ impl Machine {
             }
             if matched {
                 std::sync::Arc::make_mut(&mut self.image).retract_clause(pred, pos);
+                self.database_modified = true;
                 // Code addresses never move on retract, so the
                 // predecode and fused views stay valid; sync_code
                 // keeps the extents in lockstep all the same.

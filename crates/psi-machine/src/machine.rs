@@ -715,6 +715,10 @@ pub struct Machine {
     /// guards the bound cells. Always lowered again before the
     /// builtin returns.
     pub(crate) force_trail: bool,
+    /// Set once `assert`/`asserta`/`retract` has changed the clause
+    /// database; [`Machine::recycle`] keeps it (see
+    /// [`Machine::database_modified`]).
+    pub(crate) database_modified: bool,
 }
 
 /// Internal control-flow outcome of dispatching one goal.
@@ -754,8 +758,8 @@ impl Machine {
             dot: image.symbols_mut().intern("."),
         };
         let mut bus = match &config.cache {
-            Some(c) => MemBus::with_cache(*c),
-            None => MemBus::without_cache(),
+            Some(c) => MemBus::with_cache(*c, config.cycle_ns),
+            None => MemBus::without_cache(config.cycle_ns),
         };
         if config.trace_memory {
             bus.enable_trace();
@@ -808,6 +812,7 @@ impl Machine {
             lane_compiled,
             fused: Arc::new(FusedProgram::default()),
             force_trail: false,
+            database_modified: false,
         };
         machine.sync_code()?;
         Ok(machine)
@@ -901,6 +906,7 @@ impl Machine {
             lane_compiled: self.lane_compiled,
             fused: Arc::clone(&self.fused),
             force_trail: false,
+            database_modified: false,
         })
     }
 
@@ -1172,7 +1178,9 @@ impl Machine {
     /// entries and observability events are all dropped. After
     /// `recycle`, solving a goal yields bit-identical solutions and
     /// statistics to a freshly loaded machine — the warm-pool contract
-    /// `psi-server` relies on (and a regression test asserts).
+    /// `psi-server` relies on (and a regression test asserts) — unless
+    /// a session changed the clause database, which recycling cannot
+    /// undo (see [`Machine::database_modified`]).
     pub fn recycle(&mut self) {
         self.reset_run_state();
         self.reset_measurement();
@@ -1233,6 +1241,14 @@ impl Machine {
             indexed_calls: self.indexed_calls,
             index_direct_entries: self.index_direct,
         }
+    }
+
+    /// Whether `assert`/`asserta`/`retract` has changed the clause
+    /// database since load. [`Machine::recycle`] cannot undo such a
+    /// change, so it leaves this set: a pool must retire the machine
+    /// rather than hand its clauses to the next session.
+    pub fn database_modified(&self) -> bool {
+        self.database_modified
     }
 
     /// Host heap (re)allocations performed by the interpreter hot path
@@ -1472,7 +1488,7 @@ impl Machine {
                 // Context switch overhead: reload control registers.
                 for _ in 0..6 {
                     self.tally.step_seq(InterpModule::Control, true);
-                    self.bus.tick(self.config.cycle_ns);
+                    self.bus.tick();
                 }
                 return Ok(());
             }

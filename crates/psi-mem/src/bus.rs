@@ -1,7 +1,7 @@
 //! The memory unit: storage behind a cache, with stall accounting and
 //! optional tracing.
 
-use crate::{AddressTranslation, Memory};
+use crate::Memory;
 use psi_cache::{Cache, CacheCommand, CacheConfig, CacheStats};
 use psi_core::{Address, Measurement, ObsEvent, Result, Word};
 use psi_obs::EventRing;
@@ -48,22 +48,29 @@ enum Attachment {
 /// any counted access):
 ///
 /// * [`Measurement::Full`] (default) — every counted access drives
-///   address translation, the cache-occupancy model (stall
-///   accounting), the optional address trace and the optional event
-///   ring.
+///   the cache-occupancy model (stall accounting), the optional
+///   address trace and the optional event ring.
 /// * [`Measurement::Off`] — counted accesses take a straight-line
-///   fast route: storage read/write only. [`MemBus::tick`] still
-///   counts microsteps but lets no simulated memory traffic drain.
-///   Each access pays a single always-predicted lane branch instead
-///   of the measured route's branch tree (translation, trace
-///   `Option`, attachment match, event `Option`).
+///   fast route: storage read/write only. Each access pays a single
+///   always-predicted lane branch instead of the measured route's
+///   branch tree (trace `Option`, attachment match, event `Option`).
+///
+/// In both lanes [`MemBus::tick`] only counts the microstep. The
+/// cache clock is advanced lazily: a counted access first lets the
+/// cache catch up by the steps elapsed since the previous one, the
+/// same step-gap drive PMMS trace replay uses, so live and replayed
+/// runs see identical occupancy timing.
 #[derive(Debug, Clone)]
 pub struct MemBus {
     mem: Memory,
     attachment: Attachment,
-    translation: AddressTranslation,
     stall_ns: u64,
     step: u64,
+    /// The microstep the cache clock has been advanced to; the steps
+    /// since then are owed to it at the next counted access.
+    synced_step: u64,
+    /// Simulated time of one microstep, in nanoseconds.
+    cycle_ns: u64,
     /// Lane flag: `true` in the fidelity lane. Hoisted out of the
     /// access routines' match tree so the throughput lane tests one
     /// bool and jumps straight to storage.
@@ -75,19 +82,23 @@ pub struct MemBus {
 }
 
 impl MemBus {
-    /// A bus with the PSI production cache attached.
+    /// A bus with the PSI production cache attached, clocked at the
+    /// PSI's microcycle (one cache hit time, 200 ns).
     pub fn with_psi_cache() -> MemBus {
-        MemBus::with_cache(CacheConfig::psi())
+        let config = CacheConfig::psi();
+        MemBus::with_cache(config, config.hit_ns)
     }
 
-    /// A bus with an arbitrary cache configuration attached.
-    pub fn with_cache(config: CacheConfig) -> MemBus {
+    /// A bus with an arbitrary cache configuration attached, whose
+    /// microsteps each take `cycle_ns` of simulated time.
+    pub fn with_cache(config: CacheConfig, cycle_ns: u64) -> MemBus {
         MemBus {
             mem: Memory::new(),
             attachment: Attachment::Cached(Box::new(Cache::new(config))),
-            translation: AddressTranslation::new(),
             stall_ns: 0,
             step: 0,
+            synced_step: 0,
+            cycle_ns,
             measured: true,
             trace: None,
             events: None,
@@ -96,8 +107,9 @@ impl MemBus {
 
     /// A bus with no cache: every access stalls for the full memory
     /// time (`miss_extra_ns` beyond the cycle). Used to measure `Tnc`
-    /// in Figure 1's improvement ratio.
-    pub fn without_cache() -> MemBus {
+    /// in Figure 1's improvement ratio. `cycle_ns` clocks a cache
+    /// attached later with [`MemBus::set_cache`].
+    pub fn without_cache(cycle_ns: u64) -> MemBus {
         let config = CacheConfig::psi();
         MemBus {
             mem: Memory::new(),
@@ -105,9 +117,10 @@ impl MemBus {
                 stats: Box::new(CacheStats::new()),
                 miss_extra_ns: config.miss_extra_ns(),
             },
-            translation: AddressTranslation::new(),
             stall_ns: 0,
             step: 0,
+            synced_step: 0,
+            cycle_ns,
             measured: true,
             trace: None,
             events: None,
@@ -212,30 +225,21 @@ impl MemBus {
         self.events.as_ref().map_or(0, |r| r.dropped())
     }
 
-    /// Called by the interpreter once per microinstruction step so the
-    /// bus can timestamp traced accesses and let the cache's pending
-    /// memory traffic drain. In the throughput lane only the step
-    /// counter advances — there is no simulated memory traffic to
-    /// drain, so the lane's step accounting stays bit-identical while
-    /// the occupancy model is skipped entirely.
+    /// Called by the interpreter once per microinstruction step. The
+    /// step timestamps traced accesses; the cache clock catches up on
+    /// the elapsed steps at the next counted access (see the
+    /// type-level documentation), so a tick is one increment in every
+    /// lane.
     #[inline]
-    pub fn tick(&mut self, cycle_ns: u64) {
+    pub fn tick(&mut self) {
         self.step += 1;
-        if self.measured {
-            if let Attachment::Cached(c) = &mut self.attachment {
-                c.advance(cycle_ns);
-            }
-        }
     }
 
-    /// Batch-advances the microstep counter by `n` ticks without
-    /// consulting the cache model — the throughput/compiled lanes'
-    /// equivalent of `n` [`MemBus::tick`]s, whose cache advance is
-    /// measurement-gated off anyway. Never call this on a measuring
-    /// bus: the cache-occupancy model would silently miss `n` cycles.
+    /// Batch-advances the microstep counter by `n` ticks, exactly like
+    /// `n` [`MemBus::tick`]s (the compiled lane charges whole packets
+    /// of steps this way).
     #[inline]
     pub fn advance(&mut self, n: u64) {
-        debug_assert!(!self.measured, "batch advance would bypass the cache model");
         self.step += n;
     }
 
@@ -262,12 +266,16 @@ impl MemBus {
     /// trace) without touching memory contents — used to exclude
     /// warm-up, like the paper's breakpoint-triggered measurements.
     pub fn reset_measurement(&mut self) {
+        // The cache keeps its occupancy across the reset, so it is
+        // owed the steps taken so far before the counter restarts.
+        self.sync_cache_clock();
         match &mut self.attachment {
             Attachment::Cached(c) => c.reset_stats(),
             Attachment::Uncached { stats, .. } => **stats = CacheStats::new(),
         }
         self.stall_ns = 0;
         self.step = 0;
+        self.synced_step = 0;
         if let Some(t) = &mut self.trace {
             t.clear();
         }
@@ -291,6 +299,7 @@ impl MemBus {
             },
         };
         self.stall_ns = 0;
+        self.synced_step = self.step;
     }
 
     /// The backing storage (for checkpointing in tests).
@@ -304,15 +313,18 @@ impl MemBus {
         &mut self.mem
     }
 
-    /// The address translation table.
-    pub fn translation_mut(&mut self) -> &mut AddressTranslation {
-        &mut self.translation
+    /// Advances the cache clock over the steps taken since it was last
+    /// synced, exactly as one `cycle_ns` advance per tick would have.
+    /// (A throughput-lane bus never reads its cache, so its clock is
+    /// free to run.)
+    fn sync_cache_clock(&mut self) {
+        if let Attachment::Cached(c) = &mut self.attachment {
+            c.advance((self.step - self.synced_step) * self.cycle_ns);
+        }
+        self.synced_step = self.step;
     }
 
     fn access(&mut self, cmd: CacheCommand, addr: Address) {
-        // Keep the translation table warm; the paper's machine
-        // translated every access in hardware.
-        self.translation.translate(addr);
         if let Some(t) = &mut self.trace {
             t.push(TraceEntry {
                 step: self.step,
@@ -320,6 +332,7 @@ impl MemBus {
                 address: addr,
             });
         }
+        self.sync_cache_clock();
         let hit = match &mut self.attachment {
             Attachment::Cached(c) => {
                 let out = c.access(cmd, addr);
@@ -452,7 +465,7 @@ mod tests {
 
     #[test]
     fn uncached_bus_stalls_every_access() {
-        let mut bus = MemBus::without_cache();
+        let mut bus = MemBus::without_cache(200);
         bus.write_stack(addr(0), Word::int(1)).unwrap();
         bus.read(addr(0)).unwrap();
         assert_eq!(bus.stall_ns(), 2 * 600);
@@ -467,13 +480,40 @@ mod tests {
         assert_eq!(bus.stall_ns(), before);
     }
 
+    /// The cache clock owes every tick, collected at the next counted
+    /// access or at a measurement reset. Store-through keeps memory
+    /// busy 800 ns (four 200 ns steps) after each write.
+    #[test]
+    fn cache_clock_catches_up_on_ticks_across_reset() {
+        let config = CacheConfig {
+            capacity_words: 32,
+            ..CacheConfig::psi_store_through()
+        };
+        let mut bus = MemBus::with_cache(config, 200);
+        bus.write(addr(0), Word::int(1)).unwrap();
+        bus.write(addr(1), Word::int(1)).unwrap(); // no step between: waits
+        assert_eq!(bus.stall_ns(), 600);
+        for _ in 0..4 {
+            bus.tick();
+        }
+        bus.write(addr(2), Word::int(1)).unwrap(); // four steps drained it
+        assert_eq!(bus.stall_ns(), 600);
+        for _ in 0..4 {
+            bus.tick();
+        }
+        // Steps taken before a reset still drain memory.
+        bus.reset_measurement();
+        bus.write(addr(3), Word::int(1)).unwrap();
+        assert_eq!(bus.stall_ns(), 0);
+    }
+
     #[test]
     fn trace_records_step_and_command() {
         let mut bus = MemBus::with_psi_cache();
         bus.enable_trace();
-        bus.tick(200);
+        bus.tick();
         bus.read(addr(0)).unwrap_err(); // read of unwritten cell: still traced
-        bus.tick(200);
+        bus.tick();
         bus.write_stack(addr(0), Word::nil()).unwrap();
         let trace = bus.take_trace();
         assert_eq!(trace.len(), 2);
@@ -491,9 +531,9 @@ mod tests {
         assert!(!bus.events_enabled());
         bus.write_stack(addr(0), Word::int(1)).unwrap(); // not recorded yet
         bus.set_events_enabled(true);
-        bus.tick(200);
+        bus.tick();
         bus.read(addr(0)).unwrap(); // hit
-        bus.tick(200);
+        bus.tick();
         bus.read(addr(4096)).unwrap_err(); // miss (unwritten, still counted)
         bus.record_event(psi_core::ObsEvent::backtrack(bus.step(), 2));
         let events = bus.take_events();
@@ -521,9 +561,9 @@ mod tests {
         assert_eq!(bus.measurement(), Measurement::Off);
         bus.enable_trace();
         bus.set_events_enabled(true);
-        bus.tick(200);
+        bus.tick();
         bus.write_stack(addr(0), Word::int(7)).unwrap();
-        bus.tick(200);
+        bus.tick();
         assert_eq!(bus.read(addr(0)).unwrap().int_value(), Some(7));
         bus.write(addr(0), Word::int(8)).unwrap();
         // Storage works and steps count, but no measurement happened.
@@ -536,7 +576,7 @@ mod tests {
 
     #[test]
     fn uncached_throughput_lane_pays_no_stall() {
-        let mut bus = MemBus::without_cache();
+        let mut bus = MemBus::without_cache(200);
         bus.set_measurement(Measurement::Off);
         bus.write_stack(addr(0), Word::int(1)).unwrap();
         bus.read(addr(0)).unwrap();

@@ -34,7 +34,11 @@
 //!   whose incremental consult failed partway [taints](Lease::taint)
 //!   its lease (the machine may hold a partially-compiled program
 //!   that its pool key does not describe); tainted leases are retired
-//!   at check-in.
+//!   at check-in. So are machines whose session changed the clause
+//!   database with `assert`/`asserta`/`retract`
+//!   ([`Machine::database_modified`]): recycling resets run state,
+//!   not clauses, and the next session of the same source must see
+//!   only the consulted program.
 //! * Templates are never run and never handed out directly — every
 //!   lease is a fork, a shelved recycle, or a cold load.
 //!
@@ -226,13 +230,17 @@ impl MachinePool {
     /// Returns a lease after a clean session end: the machine is
     /// recycled and shelved for the next session consulting the same
     /// source — unless its shelf is full, it served its
-    /// [`PoolOptions::reuse_cap`]'th session, or the lease was
-    /// [tainted](Lease::taint), in which case it is retired (dropped).
+    /// [`PoolOptions::reuse_cap`]'th session, the lease was
+    /// [tainted](Lease::taint), or the session changed the clause
+    /// database, in which case it is retired (dropped).
     /// Never call this for a session that panicked; drop the lease
     /// instead.
     pub fn checkin(&self, mut lease: Lease) {
         lease.sessions_served += 1;
-        if lease.tainted || lease.sessions_served >= self.options.reuse_cap {
+        if lease.tainted
+            || lease.machine.database_modified()
+            || lease.sessions_served >= self.options.reuse_cap
+        {
             return;
         }
         lease.machine.recycle();
@@ -373,6 +381,41 @@ mod tests {
         let lease = pool.checkout("w(1).").unwrap();
         assert!(!lease.warm);
         assert!(lease.forked);
+    }
+
+    /// Regression: a session's `assert`/`asserta`/`retract` changes
+    /// survived `Machine::recycle`, so the next session of the same
+    /// source solved against the previous tenant's clauses.
+    #[test]
+    fn database_changes_never_reach_the_next_session() {
+        const SRC: &str = "c(1). c(2).";
+        let pool = pool();
+        let count = |lease: &mut Lease| lease.machine.solve("c(X)", 100).unwrap().len();
+
+        let mut lease = pool.checkout(SRC).unwrap();
+        assert!(!lease.machine.database_modified());
+        lease
+            .machine
+            .solve("assert(c(3)), asserta(c(0))", 1)
+            .unwrap();
+        lease.machine.solve("retract(c(1))", 1).unwrap();
+        assert_eq!(count(&mut lease), 3);
+        assert!(lease.machine.database_modified());
+        pool.checkin(lease);
+        assert_eq!(pool.idle_count(), 0, "a changed database is retired");
+
+        let mut lease = pool.checkout(SRC).unwrap();
+        assert!(!lease.warm);
+        assert_eq!(count(&mut lease), 2, "only the consulted clauses");
+        pool.checkin(lease);
+
+        // A read-only session still shelves its machine.
+        let mut lease = pool.checkout(SRC).unwrap();
+        assert!(lease.warm);
+        assert!(!lease.machine.database_modified());
+        assert_eq!(count(&mut lease), 2);
+        pool.checkin(lease);
+        assert_eq!(pool.idle_count(), 1);
     }
 
     #[test]

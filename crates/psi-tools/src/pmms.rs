@@ -332,11 +332,36 @@ mod tests {
         assert_eq!((two, one), (0.0, 0.0));
     }
 
+    /// The counters `total` gained over its prefix `prefix`.
+    fn since(total: &CacheStats, prefix: &CacheStats) -> CacheStats {
+        let mut d = CacheStats::new();
+        for area in Area::ALL {
+            let (t, p) = (total.area(area), prefix.area(area));
+            *d.area_mut(area) = psi_cache::AreaCacheCounters {
+                reads: t.reads - p.reads,
+                writes: t.writes - p.writes,
+                write_stacks: t.write_stacks - p.write_stacks,
+                read_hits: t.read_hits - p.read_hits,
+                write_hits: t.write_hits - p.write_hits,
+                write_stack_hits: t.write_stack_hits - p.write_stack_hits,
+            };
+        }
+        d.stall_ns = total.stall_ns - prefix.stall_ns;
+        d.writebacks = total.writebacks - prefix.writebacks;
+        d.block_fetches = total.block_fetches - prefix.block_fetches;
+        d.through_writes = total.through_writes - prefix.through_writes;
+        d
+    }
+
     /// The fork-based live sweep must agree bit-for-bit with replaying
     /// a collected trace through the same configurations — the memory
     /// trace is a pure function of execution, not of cache geometry,
     /// so both paths feed identical access streams to identical cache
-    /// models.
+    /// models. The live bus advances its cache clock lazily, by the
+    /// step gap at each access, exactly as replay does: live
+    /// statistics and simulated time equal replay's on every §4.2
+    /// geometry, also across a `reset_measurement` between two solves
+    /// that leaves the cache warm.
     #[test]
     fn forked_sweep_matches_trace_replay() {
         use kl0::Program;
@@ -372,6 +397,43 @@ mod tests {
         // A run machine is not a template.
         let err = capacity_sweep_forked(&traced, goal, 1, 1).unwrap_err();
         assert_eq!(err.wire_kind(), "fork_after_run");
+
+        for geometry in [
+            CacheConfig::psi(),
+            CacheConfig::psi_direct_mapped_4k(),
+            CacheConfig::psi_store_through(),
+        ] {
+            let mut config = MachineConfig::psi();
+            config.cache = Some(geometry);
+            config.trace_memory = true;
+            let mut m = Machine::load(&Program::parse(SRC).unwrap(), config).unwrap();
+            m.solve(goal, 1).unwrap();
+            let first = m.stats();
+            let first_trace = m.take_trace();
+            assert_eq!(
+                replay(&first_trace, geometry, 200, first.steps),
+                (first.cache, first.time_ns),
+                "{geometry:?}"
+            );
+
+            m.reset_measurement();
+            m.solve("rev([3,1,2,5,4], R)", 1).unwrap();
+            let second = m.stats();
+            // Replay both runs through one cache, the second run's
+            // steps shifted to follow the first's, and keep only the
+            // second run's share.
+            let joined: Vec<TraceEntry> = first_trace
+                .iter()
+                .copied()
+                .chain(m.take_trace().into_iter().map(|e| TraceEntry {
+                    step: e.step + first.steps,
+                    ..e
+                }))
+                .collect();
+            let (all, all_time) = replay(&joined, geometry, 200, first.steps + second.steps);
+            assert_eq!(since(&all, &first.cache), second.cache, "{geometry:?}");
+            assert_eq!(all_time - first.time_ns, second.time_ns, "{geometry:?}");
+        }
     }
 
     #[test]
